@@ -152,7 +152,7 @@ const char* PlacementName(Placement placement) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"requests", "scale"});
   args.SetupTimeScale();
   const int requests = args.GetInt("requests", 150);
 

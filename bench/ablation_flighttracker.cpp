@@ -117,7 +117,7 @@ Outcome Run(Mode mode, int requests) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"requests", "scale"});
   args.SetupTimeScale();
   const int requests = args.GetInt("requests", 150);
 

@@ -19,7 +19,7 @@
 using namespace antipode;
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"chain", "writes"});
   const int chain_length = args.GetInt("chain", 256);
   const int writes_per_request = args.GetInt("writes", 6);
 

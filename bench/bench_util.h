@@ -1,5 +1,5 @@
-// Shared helpers for the experiment-reproduction binaries: flag parsing,
-// table formatting, and JSON report emission. Every binary accepts:
+// Shared helpers for the experiment-reproduction binaries: strict flag
+// parsing, table formatting, and JSON report emission. Common flags:
 //   --scale=<f>      time scale (default 0.02: 50x compression)
 //   --requests=<n>   requests per cell (default varies per experiment)
 //   --duration=<s>   model seconds per load point (load-sweep benches)
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,18 +21,25 @@
 
 namespace antipode {
 
+// Command-line flags of one bench binary: `--name=value`, or a bare `--name`
+// for switches read with Has(). Each binary declares every flag it reads up
+// front, so an unknown flag (or --help) prints the usage and exits non-zero
+// before any work starts instead of silently running a default experiment.
 class BenchArgs {
  public:
-  BenchArgs(int argc, char** argv) : argc_(argc), argv_(argv) {}
-
-  double GetDouble(const char* name, double fallback) const {
-    const std::string prefix = std::string("--") + name + "=";
+  BenchArgs(int argc, char** argv, std::initializer_list<std::string_view> flags)
+      : argc_(argc), argv_(argv), flags_(flags) {
     for (int i = 1; i < argc_; ++i) {
-      if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
-        return std::atof(argv_[i] + prefix.size());
+      const std::string_view arg = argv_[i];
+      if (!arg.starts_with("--") || !Declared(arg.substr(2, arg.find('=') - 2))) {
+        Usage(arg);
       }
     }
-    return fallback;
+  }
+
+  double GetDouble(const char* name, double fallback) const {
+    const char* value = Find(name);
+    return value != nullptr ? std::atof(value) : fallback;
   }
 
   int GetInt(const char* name, int fallback) const {
@@ -39,13 +47,20 @@ class BenchArgs {
   }
 
   std::string GetString(const char* name, const std::string& fallback = "") const {
-    const std::string prefix = std::string("--") + name + "=";
+    const char* value = Find(name);
+    return value != nullptr ? std::string(value) : fallback;
+  }
+
+  // True when the switch is given, bare (`--name`) or with a value.
+  bool Has(const char* name) const {
+    CheckDeclared(name);
     for (int i = 1; i < argc_; ++i) {
-      if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
-        return std::string(argv_[i] + prefix.size());
+      const std::string_view arg = argv_[i];
+      if (arg.substr(2, arg.find('=') - 2) == name) {
+        return true;
       }
     }
-    return fallback;
+    return false;
   }
 
   // Applies --scale and announces the configuration.
@@ -57,8 +72,51 @@ class BenchArgs {
   }
 
  private:
+  bool Declared(std::string_view name) const {
+    for (std::string_view flag : flags_) {
+      if (flag == name) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Reading a flag the binary did not declare is a bug in the binary.
+  void CheckDeclared(const char* name) const {
+    if (!Declared(name)) {
+      std::fprintf(stderr, "%s: reads undeclared flag --%s\n", argv_[0], name);
+      std::abort();
+    }
+  }
+
+  // The value of `--name=value`, or nullptr when the flag is absent.
+  const char* Find(const char* name) const {
+    CheckDeclared(name);
+    const std::string prefix = std::string("--") + name + "=";
+    for (int i = 1; i < argc_; ++i) {
+      if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
+        return argv_[i] + prefix.size();
+      }
+    }
+    return nullptr;
+  }
+
+  [[noreturn]] void Usage(std::string_view arg) const {
+    if (arg != "--help") {
+      std::fprintf(stderr, "%s: unknown flag %.*s\n", argv_[0], static_cast<int>(arg.size()),
+                   arg.data());
+    }
+    std::fprintf(stderr, "usage: %s", argv_[0]);
+    for (std::string_view flag : flags_) {
+      std::fprintf(stderr, " [--%.*s]", static_cast<int>(flag.size()), flag.data());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+
   int argc_;
   char** argv_;
+  std::vector<std::string_view> flags_;
 };
 
 // Streaming JSON writer for the machine-readable BENCH_*.json artifacts the

@@ -216,14 +216,8 @@ void PrintHistogram(const char* name, const Histogram& hist) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
-  bool quick_flag = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick" || arg.rfind("--quick=", 0) == 0) {
-      quick_flag = true;
-    }
-  }
+  BenchArgs args(argc, argv, {"quick", "requests", "seed", "json-out", "scale"});
+  const bool quick_flag = args.Has("quick");
   args.SetupTimeScale();
   const int requests = args.GetInt("requests", quick_flag ? 10 : 60);
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 11));

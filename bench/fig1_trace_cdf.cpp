@@ -45,7 +45,7 @@ void PrintCdf(const char* title, const Histogram& h, double cutoff_quantile) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"requests"});
   const auto requests = static_cast<uint32_t>(args.GetInt("requests", 100000));
 
   CallGraphGenerator generator(TraceGenOptions{});

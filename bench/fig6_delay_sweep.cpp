@@ -13,7 +13,7 @@
 using namespace antipode;
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"requests", "scale"});
   args.SetupTimeScale();
   const int requests = args.GetInt("requests", 200);
 

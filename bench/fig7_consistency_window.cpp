@@ -18,7 +18,7 @@
 using namespace antipode;
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"requests", "metrics", "scale"});
   args.SetupTimeScale();
   const int requests = args.GetInt("requests", 200);
   const bool dump_metrics = args.GetInt("metrics", 0) != 0;

@@ -16,7 +16,7 @@
 using namespace antipode;
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"duration", "trace-out", "trace-sample", "metrics", "scale"});
   args.SetupTimeScale(0.1);
   const double duration = args.GetDouble("duration", 2.5);
 

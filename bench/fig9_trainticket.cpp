@@ -14,7 +14,7 @@
 using namespace antipode;
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"duration", "scale"});
   args.SetupTimeScale(0.25);
   const double duration = args.GetDouble("duration", 2.0);
 

@@ -49,7 +49,7 @@ void PrintHistogram(const char* title, const Histogram& bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"requests", "lag", "delay"});
   const auto requests = static_cast<uint32_t>(args.GetInt("requests", 100000));
   const auto lag = static_cast<uint64_t>(args.GetInt("lag", 64));
   const auto delay = static_cast<uint64_t>(args.GetInt("delay", 32));

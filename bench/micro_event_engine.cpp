@@ -1,10 +1,9 @@
-// Micro-benchmark for the sharded multi-worker timer engine.
+// Micro-benchmark for the multi-worker timer engine.
 //
 // Section 1 drives the engine directly: N already-due events, each callback
 // doing a short CPU spin plus a blocking sleep (the shape of real shipment
-// callbacks, which block on apply hooks and simulated WAN sleeps). The
-// inline configuration (1 shard, 0 workers) reproduces the legacy
-// single-dispatcher engine; worker configurations overlap the blocking time.
+// callbacks, which block on apply hooks and simulated WAN sleeps). One worker
+// is the serial baseline; more workers overlap the blocking time.
 //
 // Section 2 drives the real ReplicatedStore::Put path with a blocking apply
 // hook on a private engine, reporting end-to-end replication applies/sec and
@@ -12,7 +11,7 @@
 // counted by the bench-only global allocation hook.
 //
 // Section 3 is dispatch-bound: zero spin, zero block — pure per-event engine
-// overhead (shard heap + MPSC handoff + wake), the queue-machinery number.
+// overhead (worker heap push/pop + wake), the queue-machinery number.
 //
 // Flags: --events=<n> --block-us=<us> --spin-us=<us> --puts=<n> --scale=<f>
 
@@ -48,10 +47,9 @@ struct EngineResult {
   double lag_p99_ms = 0.0;
 };
 
-EngineResult RunEngineConfig(size_t num_shards, size_t num_workers, int events, int spin_us,
-                             int block_us) {
+EngineResult RunEngineConfig(size_t num_workers, int events, int spin_us, int block_us) {
   MetricsRegistry::Default().SnapshotAndReset();  // isolate this config's lag
-  TimerService timers(TimerServiceOptions{.num_shards = num_shards, .num_workers = num_workers});
+  TimerService timers(TimerServiceOptions{.num_workers = num_workers});
   std::atomic<int> fired{0};
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < events; ++i) {
@@ -84,8 +82,8 @@ struct StoreResult {
   double allocs_per_put = 0.0;
 };
 
-StoreResult RunStoreConfig(size_t num_shards, size_t num_workers, int puts, int block_us) {
-  TimerService timers(TimerServiceOptions{.num_shards = num_shards, .num_workers = num_workers});
+StoreResult RunStoreConfig(size_t num_workers, int puts, int block_us) {
+  TimerService timers(TimerServiceOptions{.num_workers = num_workers});
   StoreResult result;
   {
     ReplicatedStoreOptions options;
@@ -130,7 +128,7 @@ StoreResult RunStoreConfig(size_t num_shards, size_t num_workers, int puts, int 
 }
 
 int Main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"events", "spin-us", "block-us", "puts", "scale"});
   const int events = args.GetInt("events", 2000);
   const int spin_us = args.GetInt("spin-us", 5);
   const int block_us = args.GetInt("block-us", 200);
@@ -142,43 +140,43 @@ int Main(int argc, char** argv) {
   std::printf("%-22s %10s %14s %12s %12s %9s\n", "config", "wall_ms", "applies/sec",
               "lag_mean_ms", "lag_p99_ms", "speedup");
 
-  const EngineResult baseline = RunEngineConfig(1, 0, events, spin_us, block_us);
-  std::printf("%-22s %10.1f %14.0f %12.3f %12.3f %8.2fx\n", "inline (1 shard)", baseline.wall_ms,
-              baseline.applies_per_sec, baseline.lag_mean_ms, baseline.lag_p99_ms, 1.0);
-
+  EngineResult baseline;
   double speedup_at_8 = 0.0;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    const EngineResult r = RunEngineConfig(4, workers, events, spin_us, block_us);
+    const EngineResult r = RunEngineConfig(workers, events, spin_us, block_us);
+    if (workers == 1) {
+      baseline = r;
+    }
     const double speedup = r.applies_per_sec / baseline.applies_per_sec;
     if (workers == 8) {
       speedup_at_8 = speedup;
     }
     char label[32];
-    std::snprintf(label, sizeof(label), "4 shards, %zu workers", workers);
+    std::snprintf(label, sizeof(label), "%zu worker%s", workers, workers == 1 ? "" : "s");
     std::printf("%-22s %10.1f %14.0f %12.3f %12.3f %8.2fx\n", label, r.wall_ms,
                 r.applies_per_sec, r.lag_mean_ms, r.lag_p99_ms, speedup);
   }
-  std::printf("# speedup at 8 workers vs inline engine: %.2fx %s\n", speedup_at_8,
+  std::printf("# speedup at 8 workers vs 1 worker: %.2fx %s\n", speedup_at_8,
               speedup_at_8 >= 3.0 ? "(>= 3x target met)" : "(below 3x target)");
 
   std::printf("\n# store: %d puts x 2 remote regions, %dus blocking apply hook\n", puts,
               block_us);
-  const StoreResult store_inline = RunStoreConfig(1, 0, puts, block_us);
-  const StoreResult store_workers = RunStoreConfig(4, 8, puts, block_us);
-  std::printf("%-22s %14.0f applies/sec  %8.1f allocs/put\n", "inline (1 shard)",
-              store_inline.applies_per_sec, store_inline.allocs_per_put);
-  std::printf("%-22s %14.0f applies/sec  %8.1f allocs/put  (%.2fx)\n", "4 shards, 8 workers",
+  const StoreResult store_serial = RunStoreConfig(1, puts, block_us);
+  const StoreResult store_workers = RunStoreConfig(8, puts, block_us);
+  std::printf("%-22s %14.0f applies/sec  %8.1f allocs/put\n", "1 worker",
+              store_serial.applies_per_sec, store_serial.allocs_per_put);
+  std::printf("%-22s %14.0f applies/sec  %8.1f allocs/put  (%.2fx)\n", "8 workers",
               store_workers.applies_per_sec, store_workers.allocs_per_put,
-              store_workers.applies_per_sec / store_inline.applies_per_sec);
+              store_workers.applies_per_sec / store_serial.applies_per_sec);
 
   std::printf("\n# dispatch-bound: %d events, zero spin, zero block (pure engine overhead)\n",
               events);
-  const EngineResult dispatch_inline = RunEngineConfig(1, 0, events, 0, 0);
-  const EngineResult dispatch_workers = RunEngineConfig(4, 8, events, 0, 0);
-  std::printf("%-22s %14.0f events/sec\n", "inline (1 shard)", dispatch_inline.applies_per_sec);
-  std::printf("%-22s %14.0f events/sec (%.2fx)\n", "4 shards, 8 workers",
+  const EngineResult dispatch_serial = RunEngineConfig(1, events, 0, 0);
+  const EngineResult dispatch_workers = RunEngineConfig(8, events, 0, 0);
+  std::printf("%-22s %14.0f events/sec\n", "1 worker", dispatch_serial.applies_per_sec);
+  std::printf("%-22s %14.0f events/sec (%.2fx)\n", "8 workers",
               dispatch_workers.applies_per_sec,
-              dispatch_workers.applies_per_sec / dispatch_inline.applies_per_sec);
+              dispatch_workers.applies_per_sec / dispatch_serial.applies_per_sec);
   return 0;
 }
 

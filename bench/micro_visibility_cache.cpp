@@ -99,7 +99,7 @@ double RunLookups(int threads, int lookups, bool expect, const Probe& probe) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"applies", "keys", "threads", "lookups"});
   const int applies = args.GetInt("applies", 200000);
   const int key_count = args.GetInt("keys", 1024);
   const int threads = args.GetInt("threads", 4);

@@ -29,7 +29,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -369,12 +368,10 @@ const char* KindName(PropertyKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv,
+                 {"quick", "seeds", "replay-seed", "json-out", "deep-checks", "scale"});
   TimeScale::Set(args.GetDouble("scale", 1.0));  // model ms == virtual ms
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = args.Has("quick");
   const int default_seeds = quick ? 200 : 1000;
   const int seeds = args.GetInt("seeds", default_seeds);
   const long long replay_seed = args.GetInt("replay-seed", -1);

@@ -62,7 +62,7 @@ void PrintRow(const OverheadRow& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
+  BenchArgs args(argc, argv, {"requests", "scale"});
   args.SetupTimeScale();
   const int requests = args.GetInt("requests", 100);
 

@@ -474,13 +474,10 @@ void EmitJson(const MeshTopology& topology, const std::vector<CarryPoint>& carry
 }
 
 int Main(int argc, char** argv) {
-  BenchArgs args(argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") {
-      quick = true;
-    }
-  }
+  BenchArgs args(argc, argv,
+                 {"quick", "duration", "start-rate", "rate-factor", "max-steps", "writers",
+                  "json-out", "scale"});
+  const bool quick = args.Has("quick");
   args.SetupTimeScale();
 
   MeshSweepConfig config;

@@ -1,5 +1,6 @@
 #include "src/antipode/enforcement.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 
@@ -21,9 +22,14 @@ EnforcementBackend& ResolveBackend(const BarrierOptions& options) {
 size_t EnforcementMetadataBytes(EnforcementBackendKind kind, const Lineage& lineage) {
   if (kind == EnforcementBackendKind::kStableFrontier) {
     // One varint HLC cut per request, independent of the dependency count.
-    // Sized against the clock's current reading — what a cut computed now
-    // would cost on the wire.
-    return VarintWireSize(HlcClock::Default().Last());
+    // Sized against the current reading of the clocks the dependencies'
+    // stores stamp from (each store's home region-group clock, the group of
+    // its replica footprint) — what a cut computed now would cost on the wire.
+    uint64_t stamp = 0;
+    for (const auto& dep : lineage.deps()) {
+      stamp = std::max(stamp, HlcClock::ForGroup(RegionGroupOf(dep.scope)).Last());
+    }
+    return VarintWireSize(stamp);
   }
   return lineage.WireSize();
 }

@@ -34,17 +34,6 @@
 
 namespace antipode {
 
-enum class BarrierWaitMode {
-  // Group by store, fan every wait out concurrently, gather at one shared
-  // deadline. The default.
-  kParallel,
-  // Wait for one dependency at a time in lineage order. Kept as the
-  // measurable baseline (bench/micro_barrier) and for debugging; semantics
-  // are identical, latency and timeout sharpness are worse. Only meaningful
-  // under the lineage backend (frontier waits are inherently batched).
-  kSequential,
-};
-
 struct BarrierOptions {
   // Deadline policy for the whole barrier (every wait in it shares the one
   // effective deadline). First member so existing designated initializers
@@ -54,7 +43,6 @@ struct BarrierOptions {
   // Dependencies on datastores without a registered shim: skip them (true,
   // the incremental-deployment default) or fail the barrier (false).
   bool ignore_unknown_stores = true;
-  BarrierWaitMode wait_mode = BarrierWaitMode::kParallel;
   // Inspect instead of enforce: return immediately with Ok when every
   // dependency is already visible, FailedPrecondition (listing the unmet
   // dependencies) otherwise. Never blocks. `BarrierDryRun` is the richer
@@ -91,14 +79,6 @@ class EnforcementBackend {
 
   // Stable label carried on `barrier.backend` metrics and bench output.
   virtual std::string_view name() const = 0;
-
-  // True when Launch may block the calling thread before returning
-  // (sequential lineage mode runs its waits inline). BarrierAsync submits
-  // such launches to the executor instead of calling them on the caller.
-  virtual bool MayBlockInline(const BarrierOptions& options) const {
-    (void)options;
-    return false;
-  }
 
   // Enforces `lineage` at every region in `regions`, bounded by `deadline`.
   // Returns non-Ok (and never calls `done`) only for fail-fast launch errors

@@ -45,15 +45,9 @@ void HlcClock::Observe(uint64_t remote) {
   }
 }
 
-HlcClock& HlcClock::Default() {
-  static HlcClock* clock = new HlcClock();
-  return *clock;
-}
-
 HlcClock& HlcClock::ForGroup(int group) {
   assert(group >= 0 && group < kMaxGroups && "region-group index out of range");
-  // Leaked like Default(): late timer callbacks may stamp after static
-  // destruction begins.
+  // Leaked: late timer callbacks may stamp after static destruction begins.
   static HlcClock* clocks = new HlcClock[kMaxGroups];
   return clocks[group];
 }

@@ -21,10 +21,8 @@
 // always computed from the *same store's* dependency stamps and compared
 // against that store's frontier, and the caught-up rule (watermark ≥ issued
 // high-water mark) is clock-free. Partitioning the clocks removes the one
-// compare-exchange cell every region's Put used to contend on; `Default()`
-// remains for callers that predate the partition (and as the magnitude
-// reference for metadata-size estimates — every clock shares the process
-// epoch, so stamps across groups have comparable widths).
+// compare-exchange cell every region's Put used to contend on. Every clock
+// shares the process epoch, so stamps across groups have comparable widths.
 
 #ifndef SRC_COMMON_HLC_H_
 #define SRC_COMMON_HLC_H_
@@ -43,15 +41,13 @@ class HlcClock {
 
   // Merges a stamp received from elsewhere (a replicated entry's stamp) so
   // subsequent local stamps dominate it — the "hybrid" half of the clock.
-  // In this single-process reproduction every store shares Default() and the
-  // merge is a no-op in practice, but replication applies call it anyway so
-  // the protocol reads like the multi-process original.
+  // In this single-process reproduction every store of a region-group shares
+  // one clock and the merge is a no-op in practice, but replication applies
+  // call it anyway so the protocol reads like the multi-process original.
   void Observe(uint64_t remote);
 
   // The most recent stamp issued or observed.
   uint64_t Last() const { return last_.load(std::memory_order_acquire); }
-
-  static HlcClock& Default();
 
   // The clock of one region-group (RegionGroupOf in src/net/region.h — this
   // layer only sees the index). Each store must draw every stamp it ever

@@ -38,27 +38,17 @@ TimerService::TimerService(const Options& options) {
     sim_state_->callbacks_run = callbacks_run_;
     return;
   }
-  const size_t num_shards = std::max<size_t>(1, options.num_shards);
-  const size_t num_workers = ResolveWorkers(options.num_workers);
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    const std::string label = std::to_string(i);
-    shard->queue_depth = registry.GetGauge("timer.queue_depth", {{"shard", label}});
-    shard->dispatch_lag = registry.GetHistogram("timer.dispatch_lag_ms", {{"shard", label}});
-    shards_.push_back(std::move(shard));
-  }
+  const size_t num_workers = std::max<size_t>(1, ResolveWorkers(options.num_workers));
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+    auto worker = std::make_unique<Worker>();
+    const std::string label = std::to_string(i);
+    worker->queue_depth = registry.GetGauge("timer.queue_depth", {{"shard", label}});
+    worker->dispatch_lag = registry.GetHistogram("timer.dispatch_lag_ms", {{"shard", label}});
+    workers_.push_back(std::move(worker));
   }
-  // Threads start only after every shard/worker slot exists: a dispatcher may
-  // route to any worker queue the moment it runs.
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, w = worker.get()] { WorkerLoop(*w); });
-  }
-  for (auto& shard : shards_) {
-    shard->dispatcher = std::thread([this, s = shard.get()] { DispatchLoop(*s); });
   }
 }
 
@@ -101,16 +91,26 @@ bool TimerService::ScheduleAt(TimePoint when, AffinityToken affinity, TimerTask 
     });
     return true;
   }
-  Shard& shard = *shards_[affinity % shards_.size()];
+  Worker& worker = *workers_[affinity % workers_.size()];
+  bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::lock_guard<std::mutex> lock(worker.mu);
     if (shutdown_.load(std::memory_order_relaxed)) {
       return false;
     }
-    shard.entries.push(Entry{when, shard.next_sequence++, affinity, std::move(fn)});
-    shard.queue_depth->Add(1);
+    worker.entries.push(Entry{when, worker.next_sequence++, std::move(fn)});
+    worker.queue_depth->Add(1);
+    // Notify only on the transition the parked worker cannot see by itself:
+    // this entry is due before the deadline it sleeps until. Clearing
+    // parked_until makes every further push before the worker runs free.
+    if (when < worker.parked_until) {
+      worker.parked_until = TimePoint::min();
+      wake = true;
+    }
   }
-  shard.cv.notify_one();
+  if (wake) {
+    worker.cv.notify_one();
+  }
   return true;
 }
 
@@ -127,24 +127,13 @@ void TimerService::Shutdown() {
     return;
   }
   shutdown_.store(true, std::memory_order_relaxed);
-  for (auto& shard : shards_) {
-    // Take-and-release the shard lock so a dispatcher is either not yet
-    // waiting (and will see the flag) or inside the wait (and gets woken).
-    { std::lock_guard<std::mutex> lock(shard->mu); }
-    shard->cv.notify_all();
+  for (auto& worker : workers_) {
+    // Take-and-release the worker lock so a worker is either not yet parked
+    // (and will see the flag) or inside the wait (and gets woken).
+    { std::lock_guard<std::mutex> lock(worker->mu); }
+    worker->cv.notify_all();
   }
   std::lock_guard<std::mutex> join_lock(shutdown_mu_);
-  for (auto& shard : shards_) {
-    if (shard->dispatcher.joinable()) {
-      shard->dispatcher.join();
-    }
-  }
-  // Dispatchers are quiesced: nothing pushes to worker queues anymore. Close
-  // lets each worker drain what was already dispatched (due timers still
-  // fire), then exit.
-  for (auto& worker : workers_) {
-    worker->tasks.Close();
-  }
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) {
       worker->thread.join();
@@ -157,78 +146,57 @@ size_t TimerService::PendingCount() const {
     return sim_state_->pending.load(std::memory_order_relaxed);
   }
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->entries.size();
-  }
   for (const auto& worker : workers_) {
-    total += worker->tasks.Size();
+    std::lock_guard<std::mutex> lock(worker->mu);
+    total += worker->entries.size();
   }
   return total;
 }
 
-void TimerService::DispatchLoop(Shard& shard) {
+void TimerService::WorkerLoop(Worker& worker) {
   // Due entries are drained in batches: one lock hold pops everything whose
-  // deadline has passed (up to kMaxBatch), then routing — the lock-free
-  // worker pushes or the inline runs — happens unlocked. Under load this
-  // turns a lock/unlock cycle per timer into one per batch; schedulers
-  // blocked on shard.mu get the whole routing window to refill the heap.
-  // Heap pop order preserves the per-token contract: deadline order, FIFO
-  // within equal deadlines, and batch routing keeps that order per worker.
+  // deadline has passed (up to kMaxBatch), then the callbacks run unlocked,
+  // so producers get the whole run window to refill the heap. Heap pop order
+  // is the per-token contract: deadline order, FIFO within equal deadlines.
   constexpr size_t kMaxBatch = 128;
   std::vector<Entry> batch;
   batch.reserve(kMaxBatch);
-  std::unique_lock<std::mutex> lock(shard.mu);
+  std::unique_lock<std::mutex> lock(worker.mu);
   while (true) {
-    if (shard.entries.empty()) {
-      if (shutdown_.load(std::memory_order_relaxed)) {
-        return;
-      }
-      shard.cv.wait(lock, [&] {
-        return shutdown_.load(std::memory_order_relaxed) || !shard.entries.empty();
-      });
-      continue;
-    }
-    const TimePoint next = shard.entries.top().when;
+    const bool stopping = shutdown_.load(std::memory_order_relaxed);
     const TimePoint now = SystemClock::Instance().Now();
-    if (next > now) {
-      if (shutdown_.load(std::memory_order_relaxed)) {
+    if (worker.entries.empty() || worker.entries.top().when > now) {
+      if (stopping) {
         // Drop timers that are not yet due.
-        shard.queue_depth->Add(-static_cast<int64_t>(shard.entries.size()));
+        worker.queue_depth->Add(-static_cast<int64_t>(worker.entries.size()));
         return;
       }
-      shard.cv.wait_until(lock, next);
+      if (worker.entries.empty()) {
+        worker.parked_until = TimePoint::max();
+        worker.cv.wait(lock);
+      } else {
+        const TimePoint next = worker.entries.top().when;
+        worker.parked_until = next;
+        worker.cv.wait_until(lock, next);
+      }
+      worker.parked_until = TimePoint::min();
       continue;
     }
-    while (!shard.entries.empty() && batch.size() < kMaxBatch &&
-           shard.entries.top().when <= now) {
-      batch.push_back(std::move(const_cast<Entry&>(shard.entries.top())));
-      shard.entries.pop();
+    while (!worker.entries.empty() && batch.size() < kMaxBatch &&
+           worker.entries.top().when <= now) {
+      batch.push_back(std::move(const_cast<Entry&>(worker.entries.top())));
+      worker.entries.pop();
     }
-    shard.queue_depth->Add(-static_cast<int64_t>(batch.size()));
+    worker.queue_depth->Add(-static_cast<int64_t>(batch.size()));
     lock.unlock();
     for (Entry& entry : batch) {
-      shard.dispatch_lag->Record(
-          ToMillis(std::chrono::duration_cast<Duration>(now - entry.when)));
-      if (workers_.empty()) {
-        entry.fn();
-        callbacks_run_->Increment();
-      } else {
-        // Same affinity → same worker queue, so equal-deadline FIFO within a
-        // token survives the handoff (this shard is the only producer of the
-        // token's entries, and the worker executes its queue serially).
-        workers_[entry.affinity % workers_.size()]->tasks.Push(std::move(entry.fn));
-      }
+      worker.dispatch_lag->Record(ToMillis(
+          std::chrono::duration_cast<Duration>(SystemClock::Instance().Now() - entry.when)));
+      entry.fn();
+      callbacks_run_->Increment();
     }
     batch.clear();
     lock.lock();
-  }
-}
-
-void TimerService::WorkerLoop(Worker& worker) {
-  while (auto task = worker.tasks.PopWait()) {
-    (*task)();
-    callbacks_run_->Increment();
   }
 }
 

@@ -1,25 +1,25 @@
-// A sharded multi-worker timer engine: schedules closures to run at a future
-// time point. The simulated network and every store's replication engine use
-// this instead of spawning a thread per in-flight message, which keeps
-// thousands of concurrent replication events cheap.
+// A multi-worker timer engine: schedules closures to run at a future time
+// point. The simulated network and every store's replication engine use this
+// instead of spawning a thread per in-flight message, which keeps thousands
+// of concurrent replication events cheap.
 //
-// Architecture: N timer shards, each with its own min-heap, mutex, condition
-// variable, and dispatcher thread, feed a pool of M workers. Dispatchers only
-// pop due entries and route them; callbacks *execute* on the workers, so one
-// slow callback stalls a single worker instead of the whole engine and due
-// events on different shards fire in parallel.
+// Architecture: M workers, each one thread that owns a mutex, a condition
+// variable and a min-heap ordered by ⟨deadline, per-worker sequence⟩. The
+// worker pops everything due in one batch, runs the batch with its lock
+// released, and otherwise sleeps until its earliest deadline. A producer
+// wakes the worker only on a transition: the pushed entry became the new heap
+// top while the worker was parked past its deadline. Several pushes before
+// the worker runs again therefore cost one wake-up. One slow callback stalls
+// only its own worker; due events on different workers fire in parallel.
 //
 // Affinity tokens: every schedule call carries a token (defaulting to a fresh
-// round-robin value per call). A token maps to a fixed shard and a fixed
-// worker, so all callbacks scheduled with the same token execute serially, in
-// deadline order, FIFO for equal deadlines. The replication engine keys its
-// shipments by (store, key, destination) to keep per-key apply order intact;
-// callers that need no ordering just omit the token and get maximum spread.
-// There is NO cross-token ordering guarantee, even within one shard.
-//
-// `num_workers == 0` selects the legacy inline mode: each shard's dispatcher
-// runs its callbacks itself (one shard + zero workers reproduces the old
-// single-thread engine exactly; benches use it as the scaling baseline).
+// round-robin value per call). A token maps to one fixed worker
+// (`token % M`), so all callbacks scheduled with the same token execute
+// serially, in deadline order, FIFO for equal deadlines. The replication
+// engine keys its shipments by (store, key, destination) to keep per-key
+// apply order intact; callers that need no ordering just omit the token and
+// get maximum spread. There is NO cross-token ordering guarantee, even
+// within one worker.
 
 #ifndef SRC_COMMON_TIMER_SERVICE_H_
 #define SRC_COMMON_TIMER_SERVICE_H_
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/common/mpsc_queue.h"
 #include "src/common/small_function.h"
 
 namespace antipode {
@@ -44,18 +43,14 @@ class HistogramMetric;
 class SimScheduler;
 
 struct TimerServiceOptions {
-  // Timer shards: independent heaps + dispatcher threads. More shards reduce
-  // contention on ScheduleAfter and let due events fire in parallel.
-  size_t num_shards = 4;
-  // Callback workers. 0 = run callbacks inline on each shard's dispatcher
-  // (legacy single-thread behaviour when num_shards == 1).
+  // Worker threads, one timer heap each. 0 is treated as 1.
   size_t num_workers = kDefaultWorkers;
 
-  // Deterministic simulation mode: no shards, no workers, no threads — every
-  // schedule becomes an event on the process's active SimScheduler (sim.h),
-  // which must be installed (via ScopedSimMode) before construction. Virtual
-  // time replaces the wall clock; the per-affinity ordering contract is
-  // preserved by the scheduler's seeded tie-break (same token ⇒ FIFO).
+  // Deterministic simulation mode: no workers, no threads — every schedule
+  // becomes an event on the process's active SimScheduler (sim.h), which
+  // must be installed (via ScopedSimMode) before construction. Virtual time
+  // replaces the wall clock; the per-affinity ordering contract is preserved
+  // by the scheduler's seeded tie-break (same token ⇒ FIFO).
   bool deterministic = false;
 
   // SIZE_MAX sentinel resolved at construction to min(8, max(2, cores)).
@@ -65,8 +60,8 @@ struct TimerServiceOptions {
 class TimerService {
  public:
   using Options = TimerServiceOptions;
-  // Routes same-token callbacks to the same shard and worker (serial, FIFO
-  // for equal deadlines). kNoAffinity picks a fresh round-robin token.
+  // Routes same-token callbacks to the same worker (serial, FIFO for equal
+  // deadlines). Calls without a token get a fresh round-robin one.
   using AffinityToken = uint64_t;
 
   TimerService() : TimerService(Options{}) {}
@@ -97,18 +92,18 @@ class TimerService {
   // dropped. Idempotent and safe to race with ScheduleAfter.
   void Shutdown();
 
-  // Entries still in the shard heaps plus callbacks queued on workers.
+  // Timers not yet taken off a worker heap.
   size_t PendingCount() const;
 
-  size_t num_shards() const { return shards_.size(); }
-  size_t num_workers() const { return workers_.size(); }
+  // Timer heaps, one per worker thread (the `shard` label of the
+  // `timer.queue_depth` and `timer.dispatch_lag_ms` instruments).
+  size_t num_shards() const { return workers_.size(); }
   bool deterministic() const { return sim_ != nullptr; }
 
  private:
   struct Entry {
     TimePoint when;
-    uint64_t sequence;  // FIFO tie-break for equal deadlines (per shard)
-    AffinityToken affinity;
+    uint64_t sequence;  // FIFO tie-break for equal deadlines (per worker)
     TimerTask fn;
   };
   struct EntryLater {
@@ -119,23 +114,19 @@ class TimerService {
       return a.sequence > b.sequence;
     }
   };
-  struct Shard {
+  struct Worker {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::priority_queue<Entry, std::vector<Entry>, EntryLater> entries;
     uint64_t next_sequence = 0;
-    std::thread dispatcher;
-    // Per-shard instruments (shared across TimerService instances with the
-    // same shard index; registry pointers are stable, increments additive).
+    // The deadline the parked worker sleeps until: TimePoint::max() when it
+    // waits on an empty heap, TimePoint::min() while it is awake (or already
+    // notified). A push earlier than this is the only one that notifies.
+    TimePoint parked_until = TimePoint::min();
+    // Per-worker instruments (shared across TimerService instances with the
+    // same worker index; registry pointers are stable, increments additive).
     Gauge* queue_depth = nullptr;
     HistogramMetric* dispatch_lag = nullptr;
-  };
-  struct Worker {
-    // Lock-free dispatcher→worker handoff: each shard dispatcher is a
-    // producer, the worker thread is the sole consumer. Replaced the
-    // mutex+deque BlockingQueue, whose per-task lock/signal was the hottest
-    // lock in the engine under load.
-    MpscQueue<TimerTask> tasks;
     std::thread thread;
   };
 
@@ -148,10 +139,8 @@ class TimerService {
     Counter* callbacks_run = nullptr;
   };
 
-  void DispatchLoop(Shard& shard);
   void WorkerLoop(Worker& worker);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;
   Counter* callbacks_run_ = nullptr;
   SimScheduler* sim_ = nullptr;

@@ -262,12 +262,11 @@ bool LiveMesh::RunReaderSide(const WriterResult& writer, uint64_t request_index)
   if (!options_.antipode) {
     return stores_[binding.store]->GetValue(options_.read_region, key).has_value();
   }
-  if (options_.barrier_regions.size() == 1) {
-    Barrier(writer.lineage, options_.barrier_regions.front(), barrier_options_);
-  } else {
-    BarrierGlobal(writer.lineage, options_.barrier_regions, barrier_options_);
-  }
-  return shims_[binding.store]->Read(options_.read_region, key).ok();
+  const Status barrier =
+      options_.barrier_regions.size() == 1
+          ? Barrier(writer.lineage, options_.barrier_regions.front(), barrier_options_)
+          : BarrierGlobal(writer.lineage, options_.barrier_regions, barrier_options_);
+  return barrier.ok() && shims_[binding.store]->Read(options_.read_region, key).ok();
 }
 
 void LiveMesh::DrainReplication() {

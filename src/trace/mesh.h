@@ -196,8 +196,9 @@ class LiveMesh {
   WriterResult RunWriterSide(uint64_t request_index);
 
   // Terminal read of the plan's last write at `read_region`, guarded by the
-  // configured barrier on Antipode meshes. Returns true when the value was
-  // found — false is an XCY violation.
+  // configured barrier on Antipode meshes. Returns true when the barrier
+  // succeeded and the value was found — false is a failed barrier or an XCY
+  // violation.
   bool RunReaderSide(const WriterResult& writer, uint64_t request_index);
 
   void DrainReplication();

@@ -309,6 +309,17 @@ TEST_F(EnforcementSelectionTest, MetadataBytesTradeoff) {
   EXPECT_GT(lineage_bytes, 32u * 8u);
   EXPECT_LE(cut_bytes, 10u);  // one 64-bit varint
   EXPECT_LT(cut_bytes, lineage_bytes);
+
+  // After real writes the cut is a full HLC stamp from the clock the store
+  // stamps with, several bytes wide — not the 1-byte varint of an idle clock.
+  KvStore store(KvStore::DefaultOptions("eb-meta", kRegions));
+  KvShim shim(&store);
+  const Lineage written = shim.Write(Region::kUs, "k", "v", Lineage(2));
+  const size_t written_cut_bytes =
+      EnforcementMetadataBytes(EnforcementBackendKind::kStableFrontier, written);
+  EXPECT_GT(written_cut_bytes, 1u);
+  EXPECT_LE(written_cut_bytes, 10u);
+  store.DrainReplication();
 }
 
 }  // namespace

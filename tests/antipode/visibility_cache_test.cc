@@ -211,21 +211,6 @@ TEST_F(VisibilityCacheTest, BarrierCacheOffMatchesBaselineSemantics) {
   EXPECT_EQ(CounterValue("barrier.zero_wait"), zero_wait_before);  // cache bypassed
 }
 
-TEST_F(VisibilityCacheTest, SequentialBarrierUsesCacheToo) {
-  KvStore store(SlowKv("vc-seq", 30.0));
-  KvShim shim(&store);
-  ShimRegistry registry;
-  registry.Register(&shim);
-  Lineage lineage = shim.Write(Region::kUs, "k", "v", Lineage(1));
-  store.DrainReplication();
-  const uint64_t zero_wait_before = CounterValue("barrier.zero_wait");
-  EXPECT_TRUE(Barrier(lineage, Region::kEu,
-                      BarrierOptions{.registry = &registry,
-                                     .wait_mode = BarrierWaitMode::kSequential})
-                  .ok());
-  EXPECT_EQ(CounterValue("barrier.zero_wait"), zero_wait_before + 1);
-}
-
 TEST_F(VisibilityCacheTest, DryRunWarmVsCold) {
   KvStore store(SlowKv("vc-dry", 60.0));
   KvShim shim(&store);

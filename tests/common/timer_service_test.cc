@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -85,9 +86,9 @@ TEST(TimerServiceTest, EqualDeadlinesFireFifoPerAffinity) {
 
 // Two interleaved affinity streams with one shared deadline: each stream's
 // callbacks run in its own schedule order even though the streams themselves
-// may interleave arbitrarily (different shards/workers).
+// may interleave arbitrarily (different workers).
 TEST(TimerServiceTest, InterleavedAffinityStreamsKeepPerTokenOrder) {
-  TimerService timers(TimerServiceOptions{.num_shards = 4, .num_workers = 4});
+  TimerService timers(TimerServiceOptions{.num_workers = 4});
   // Already due: Shutdown below must still fire every one of them.
   const TimePoint when = SystemClock::Instance().Now();
   constexpr int kPerStream = 100;
@@ -113,11 +114,11 @@ TEST(TimerServiceTest, InterleavedAffinityStreamsKeepPerTokenOrder) {
   }
 }
 
-// Callback execution is decoupled from dispatch: two due callbacks must be
-// able to run at the same time. Each callback blocks until the other has
-// started; a serial engine would deadlock-then-timeout on the first.
-TEST(TimerServiceTest, ShardParallelDispatch) {
-  TimerService timers(TimerServiceOptions{.num_shards = 4, .num_workers = 4});
+// Workers run their heaps in parallel: two due callbacks on different workers
+// must be able to run at the same time. Each callback blocks until the other
+// has started; a serial engine would deadlock-then-timeout on the first.
+TEST(TimerServiceTest, PerWorkerParallelism) {
+  TimerService timers(TimerServiceOptions{.num_workers = 4});
   std::mutex mu;
   std::condition_variable cv;
   int started = 0;
@@ -134,13 +135,13 @@ TEST(TimerServiceTest, ShardParallelDispatch) {
     });
   }
   timers.Shutdown();
-  EXPECT_EQ(overlapped.load(), 2) << "due callbacks on different shards did not overlap";
+  EXPECT_EQ(overlapped.load(), 2) << "due callbacks on different workers did not overlap";
 }
 
 // Shutdown lets already-due callbacks run to completion (and drops only the
 // not-yet-due), even when they were dispatched microseconds earlier.
 TEST(TimerServiceTest, ShutdownWithDueTimersStillFires) {
-  TimerService timers(TimerServiceOptions{.num_shards = 4, .num_workers = 2});
+  TimerService timers(TimerServiceOptions{.num_workers = 2});
   std::atomic<int> fired{0};
   constexpr int kDue = 200;
   for (int i = 0; i < kDue; ++i) {
@@ -152,25 +153,12 @@ TEST(TimerServiceTest, ShutdownWithDueTimersStillFires) {
   EXPECT_EQ(fired.load(), kDue);
 }
 
-TEST(TimerServiceTest, InlineModeRunsCallbacksOnDispatcher) {
-  // num_workers = 0 reproduces the legacy engine: callbacks inline on the
-  // (single) shard dispatcher, globally serialized.
-  TimerService timers(TimerServiceOptions{.num_shards = 1, .num_workers = 0});
-  EXPECT_EQ(timers.num_workers(), 0u);
-  std::atomic<int> fired{0};
-  for (int i = 0; i < 100; ++i) {
-    timers.ScheduleAfter(Micros(0), [&] { fired.fetch_add(1); });
-  }
-  timers.Shutdown();
-  EXPECT_EQ(fired.load(), 100);
-}
-
 // TSan target: schedulers racing Shutdown must not corrupt the engine, and
 // every accepted callback (ScheduleAfter returned true) must still run if it
 // was due. Named *Stress* so the tsan ctest preset picks it up.
 TEST(TimerServiceStressTest, ConcurrentScheduleAndShutdown) {
   for (int round = 0; round < 5; ++round) {
-    TimerService timers(TimerServiceOptions{.num_shards = 4, .num_workers = 4});
+    TimerService timers(TimerServiceOptions{.num_workers = 4});
     std::atomic<int> accepted{0};
     std::atomic<int> fired{0};
     std::vector<std::thread> schedulers;
@@ -235,6 +223,74 @@ TEST(TimerServiceTest, PendingCountTracksQueue) {
 
 TEST(TimerServiceTest, SharedInstanceIsSingleton) {
   EXPECT_EQ(&TimerService::Shared(), &TimerService::Shared());
+}
+
+// Threads listed in /proc/self/task. A just-joined thread can stay listed
+// for a moment, so read until two samples 1 ms apart agree.
+size_t SettledThreadCount() {
+  auto count = [] {
+    size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  size_t last = count();
+  for (int i = 0; i < 1000; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const size_t now = count();
+    if (now == last) {
+      break;
+    }
+    last = now;
+  }
+  return last;
+}
+
+// The engine is one tier: M workers, each owning its heap, and no other
+// threads (no dispatchers in front of the workers).
+TEST(TimerServiceTest, StartsExactlyOneThreadPerWorker) {
+  // Sanitizer runtimes start a helper thread along with the process's first
+  // thread; start (and join) one first so the count below sees only ours.
+  std::thread([] {}).join();
+  const size_t before = SettledThreadCount();
+  TimerService timers(TimerServiceOptions{.num_workers = 3});
+  EXPECT_EQ(timers.num_shards(), 3u);
+  EXPECT_EQ(SettledThreadCount(), before + 3);
+  timers.Shutdown();
+  EXPECT_EQ(SettledThreadCount(), before);
+}
+
+// A parked worker sleeping until a far deadline must be woken by a push that
+// becomes its new heap top; pushes behind the top need no wake-up and must
+// still fire in deadline order once due.
+TEST(TimerServiceTest, EarlierPushWakesParkedWorker) {
+  TimerService timers(TimerServiceOptions{.num_workers = 1});
+  std::atomic<int> fired{0};
+  const Duration far = std::chrono::duration_cast<Duration>(std::chrono::seconds(60));
+  timers.ScheduleAfter(far, [&] { fired.fetch_add(1000); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // let the worker park
+  std::mutex mu;
+  std::vector<int> order;
+  for (int i = 3; i >= 1; --i) {
+    timers.ScheduleAfter(Millis(5 * i), [&, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+      fired.fetch_add(1);
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fired.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fired.load(), 3);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  }
+  timers.Shutdown();
+  EXPECT_EQ(fired.load(), 3);  // the 60 s timer was dropped
 }
 
 }  // namespace

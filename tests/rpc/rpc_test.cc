@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "src/antipode/lineage_api.h"
+#include "src/common/sim.h"
+#include "src/common/timer_service.h"
+#include "src/net/network.h"
+#include "src/net/topology.h"
 
 namespace antipode {
 namespace {
@@ -50,20 +54,27 @@ TEST_F(RpcTest, HandlerErrorPropagates) {
   EXPECT_EQ(response.status().message(), "bad input");
 }
 
+// Runs in virtual time: a call costs exactly its sampled one-way latencies,
+// so the ratio does not depend on how loaded the machine is.
 TEST_F(RpcTest, CrossRegionCallIsSlowerThanLocal) {
-  RpcService* local = registry_.RegisterService("local", Region::kUs, 1);
-  RpcService* remote = registry_.RegisterService("remote", Region::kSg, 1);
+  ScopedSimMode sim(/*seed=*/1);
+  TimerService timers(TimerServiceOptions{.deterministic = true});
+  RegionTopology topology(/*jitter_sigma=*/0.1, /*seed=*/1);
+  SimulatedNetwork network(&topology, &timers);
+  ServiceRegistry registry(&network);
+  RpcService* local = registry.RegisterService("local", Region::kUs, 1);
+  RpcService* remote = registry.RegisterService("remote", Region::kSg, 1);
   auto noop = [](const std::string&) { return Result<std::string>(std::string()); };
   local->RegisterMethod("m", noop);
   remote->RegisterMethod("m", noop);
-  RpcClient client(&registry_, Region::kUs);
+  RpcClient client(&registry, Region::kUs);
 
-  const TimePoint t0 = SystemClock::Instance().Now();
-  client.Call("local", "m", "");
-  const auto local_elapsed = SystemClock::Instance().Now() - t0;
-  const TimePoint t1 = SystemClock::Instance().Now();
-  client.Call("remote", "m", "");
-  const auto remote_elapsed = SystemClock::Instance().Now() - t1;
+  const TimePoint t0 = GlobalClock().Now();
+  ASSERT_TRUE(client.Call("local", "m", "").ok());
+  const auto local_elapsed = GlobalClock().Now() - t0;
+  const TimePoint t1 = GlobalClock().Now();
+  ASSERT_TRUE(client.Call("remote", "m", "").ok());
+  const auto remote_elapsed = GlobalClock().Now() - t1;
   EXPECT_GT(remote_elapsed, local_elapsed * 3);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/clock.h"
+#include "src/fault/fault_injector.h"
 
 namespace antipode {
 namespace {
@@ -147,6 +148,35 @@ TEST_F(LiveMeshTest, BaselineMeshRunsWithoutAntipode) {
   mesh.DrainReplication();
   // After a full drain the read succeeds even without a barrier.
   EXPECT_TRUE(mesh.RunReaderSide(writer, 0));
+}
+
+// A failed barrier fails the reader side even when the terminal read would
+// find the value: every visibility wait errors, but replication has drained.
+TEST_F(LiveMeshTest, FailedBarrierFailsReaderSide) {
+  MeshOptions options = TestOptions();
+  options.num_plans = 1;
+  options.min_live_services = 1;
+  const MeshTopology topology = BuildMeshTopology(options);
+
+  LiveMeshOptions live;
+  live.use_cache = false;  // no cache hit may stand in for the failing wait
+  live.threads_per_service = 1;
+  live.tag = "wait-error";
+  LiveMesh mesh(&topology, live);
+  RequestContext context;
+  ScopedContext scoped(std::move(context));
+  LiveMesh::WriterResult writer = mesh.RunWriterSide(0);
+  ASSERT_TRUE(writer.status.ok()) << writer.status.message();
+  ASSERT_FALSE(writer.lineage.deps().empty());
+  mesh.DrainReplication();
+
+  FaultRule wait_error;
+  wait_error.kind = FaultKind::kStoreWaitError;
+  FaultInjector::Default().Arm(FaultPlan{"wait-error", 1, {wait_error}});
+  const bool passed = mesh.RunReaderSide(writer, 0);
+  FaultInjector::Default().Disarm();
+  EXPECT_FALSE(passed);
+  EXPECT_TRUE(mesh.RunReaderSide(writer, 0));  // same request, no fault
 }
 
 }  // namespace
