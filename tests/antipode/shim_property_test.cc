@@ -225,6 +225,10 @@ struct ShimCase {
   AdapterFactory make;
 };
 
+// Without a printer gtest dumps the raw bytes, which hold the ASLR-randomised
+// address of `label`, so every test listing (and every ctest name) differs.
+void PrintTo(const ShimCase& shim_case, std::ostream* os) { *os << shim_case.label; }
+
 class ShimPropertyTest : public ::testing::TestWithParam<ShimCase> {
  protected:
   void SetUp() override {
